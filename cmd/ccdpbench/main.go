@@ -13,7 +13,6 @@
 //	ccdpbench [-table 1|2|all] [-apps MXM,VPENTA,TOMCATV,SWIM] [-pes 1,2,4,...]
 //	          [-machine-profile t3d|cxl-pcc|pim] [-domain-size D]
 //	          [-scale small|paper] [-topology flat|torus|XxYxZ] [-jobs N]
-//	          [-pdes optimistic|conservative|adaptive]
 //	          [-arena] [-arena-pes 8] [-hw-prefetch next-line|stride]
 //	          [-ablation vpg|mbp|nonstale] [-details]
 //	          [-fault-rate 0.01] [-fault-kinds all] [-fault-seed 1]
@@ -67,7 +66,6 @@ func main() {
 	faultRates := flag.String("fault-rates", "0.001,0.01,0.05", "fault rates for -faultsweep")
 	faultTrials := flag.Int("fault-trials", 3, "trials (distinct seeds) per rate for -faultsweep")
 	tf := driver.RegisterTopology(flag.CommandLine)
-	pdf := driver.RegisterPDES(flag.CommandLine)
 	hf := driver.RegisterHW(flag.CommandLine)
 	ff := driver.RegisterFault(flag.CommandLine)
 	pf := driver.RegisterProf(flag.CommandLine)
@@ -91,10 +89,6 @@ func main() {
 	if err != nil {
 		driver.Fatal(tool, err)
 	}
-	pdes, err := pdf.Mode()
-	if err != nil {
-		driver.Fatal(tool, err)
-	}
 	if _, err := machine.ProfileParams(*profile, 1); err != nil {
 		driver.Fatal(tool, err)
 	}
@@ -113,7 +107,7 @@ func main() {
 			js[i] = sweepd.JobSpec{
 				App: s.Name, Scale: *scale, PEs: peCounts,
 				Profile: *profile, DomainSize: *domainSize,
-				Topology: tf.String(), PDES: pdf.String(),
+				Topology:  tf.String(),
 				FaultRate: *ff.Rate, FaultKinds: *ff.Kinds, FaultSeed: *ff.Seed,
 			}
 		}
@@ -171,7 +165,7 @@ func main() {
 	if err != nil {
 		driver.Fatal(tool, err)
 	}
-	results, err := runApps(os.Stdout, specs, harness.Config{PECounts: peCounts, Profile: *profile, DomainSize: *domainSize, Fault: plan, Topology: topo, PDES: pdes}, *jobs, *details)
+	results, err := runApps(os.Stdout, specs, harness.Config{PECounts: peCounts, Profile: *profile, DomainSize: *domainSize, Fault: plan, Topology: topo}, *jobs, *details)
 	if err != nil {
 		driver.Fatal(tool, err)
 	}

@@ -75,7 +75,7 @@ func main() {
 	}
 	fmt.Printf("%s %v on %d PEs: %d cycles\n", spec.Name, m, mp.NumPE, res.Cycles)
 	if *races {
-		fmt.Println("race detection: parallel epochs run their PEs sequentially so model violations are caught deterministically; simulated cycle counts are unchanged, only wall-clock is")
+		fmt.Println("race detection: every parallel epoch was checked for cross-PE read/write conflicts; simulated cycle counts are unchanged, only wall-clock is")
 	}
 	if plan.Enabled() {
 		fmt.Println(plan)

@@ -214,41 +214,20 @@ func (t *TopologyFlag) Config() (noc.Config, error) {
 // (the server re-parses it through the same noc.Parse).
 func (t *TopologyFlag) String() string { return *t.s }
 
-// PDESFlag is the torus parallel-execution-scheme flag (-pdes). The mode
-// never changes simulation results — only how parallel torus epochs commit
-// their link reservations, i.e. wall-clock scaling.
-type PDESFlag struct {
-	s *string
-}
-
-// RegisterPDES installs the -pdes flag on fs.
-func RegisterPDES(fs *flag.FlagSet) *PDESFlag {
-	return &PDESFlag{s: fs.String("pdes", "optimistic",
-		"torus epoch commit scheme: optimistic, conservative or adaptive (bit-identical results; wall-clock only)")}
-}
-
-// Mode parses the flag into a PDES mode.
-func (p *PDESFlag) Mode() (noc.PDESMode, error) {
-	return noc.ParsePDES(*p.s)
-}
-
-// String returns the raw flag value, for forwarding to the sweep service
-// (the server re-parses it through the same noc.ParsePDES).
-func (p *PDESFlag) String() string { return *p.s }
-
 // SweepConfig resolves the raw values of one benchmark-sweep
 // configuration — everything but the PE counts — into a harness.Config.
 // It is the single resolution path shared by the ccdpbench CLI and the
 // sweep service, so a job submitted over HTTP runs under exactly the
 // configuration the same flags would produce in-process; every failure is
-// an error return (the service's HTTP 400), never an exit.
+// an error return (the service's HTTP 400), never an exit. pdes is the
+// retired torus commit-scheme selector: parallel epochs have a single
+// execution order now, so it must be empty.
 func SweepConfig(profile string, domainSize int, topology, pdes string,
 	faultRate float64, faultKinds string, faultSeed int64) (harness.Config, error) {
-	topo, err := noc.Parse(topology)
-	if err != nil {
-		return harness.Config{}, err
+	if pdes != "" {
+		return harness.Config{}, fmt.Errorf("pdes %q: torus commit schemes were removed (leave it empty)", pdes)
 	}
-	pm, err := noc.ParsePDES(pdes)
+	topo, err := noc.Parse(topology)
 	if err != nil {
 		return harness.Config{}, err
 	}
@@ -266,7 +245,6 @@ func SweepConfig(profile string, domainSize int, topology, pdes string,
 		Profile:    profile,
 		DomainSize: domainSize,
 		Topology:   topo,
-		PDES:       pm,
 		Fault:      plan,
 	}, nil
 }
@@ -279,14 +257,13 @@ func ProfileUsage() string {
 }
 
 // MachineFlags is the machine-configuration flag group (-pes,
-// -machine-profile, -domain-size, -topology, -pdes) for the tools that
+// -machine-profile, -domain-size, -topology) for the tools that
 // simulate one configuration at a time.
 type MachineFlags struct {
 	PEs        *int
 	Profile    *string
 	DomainSize *int
 	Topo       *TopologyFlag
-	PDES       *PDESFlag
 }
 
 // RegisterMachine installs the machine flags on fs.
@@ -297,7 +274,6 @@ func RegisterMachine(fs *flag.FlagSet, defaultPEs int) *MachineFlags {
 		DomainSize: fs.Int("domain-size", 0,
 			"override the profile's coherence-domain size (0 = profile default, 1 = per-PE domains)"),
 		Topo: RegisterTopology(fs),
-		PDES: RegisterPDES(fs),
 	}
 }
 
@@ -305,22 +281,18 @@ func RegisterMachine(fs *flag.FlagSet, defaultPEs int) *MachineFlags {
 // the named machine profile. An unknown profile name is an error that
 // lists the valid profiles.
 func (m *MachineFlags) Params() (machine.Params, error) {
-	return Machine(*m.Profile, *m.PEs, *m.DomainSize, *m.Topo.s, *m.PDES.s)
+	return Machine(*m.Profile, *m.PEs, *m.DomainSize, *m.Topo.s)
 }
 
 // Machine is the flag-free core of MachineFlags.Params: it resolves raw
 // machine-configuration values (profile name, PE count, domain-size
-// override, topology and pdes strings) into a validated Params. Every
-// failure — unknown profile, bad topology syntax, unknown pdes scheme —
+// override and topology string) into a validated Params. Every
+// failure — unknown profile, bad topology syntax —
 // comes back as an error naming the valid choices, never an exit, so the
 // sweep service can answer bad job specs with HTTP 400s while the CLIs
 // route the same errors through Fatal.
-func Machine(profile string, pes, domainSize int, topology, pdes string) (machine.Params, error) {
+func Machine(profile string, pes, domainSize int, topology string) (machine.Params, error) {
 	topo, err := noc.Parse(topology)
-	if err != nil {
-		return machine.Params{}, err
-	}
-	pm, err := noc.ParsePDES(pdes)
 	if err != nil {
 		return machine.Params{}, err
 	}
@@ -332,6 +304,5 @@ func Machine(profile string, pes, domainSize int, topology, pdes string) (machin
 		mp.DomainSize = domainSize
 	}
 	mp.Topology = topo
-	mp.PDES = pm
 	return mp, nil
 }

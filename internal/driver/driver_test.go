@@ -157,12 +157,12 @@ func TestFatalExitsNonZero(t *testing.T) {
 // every malformed value must come back as an error return (the service's
 // HTTP 400), never an exit or panic.
 func TestSweepConfigErrorReturns(t *testing.T) {
-	cfg, err := SweepConfig("cxl-pcc", 2, "torus", "conservative", 0.25, "drop,late", 9)
+	cfg, err := SweepConfig("cxl-pcc", 2, "torus", "", 0.25, "drop,late", 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Profile != "cxl-pcc" || cfg.DomainSize != 2 ||
-		cfg.Topology.Kind != noc.KindTorus || cfg.PDES != noc.PDESConservative {
+		cfg.Topology.Kind != noc.KindTorus {
 		t.Errorf("cfg = %+v", cfg)
 	}
 	if !cfg.Fault.Enabled() || cfg.Fault.Seed != 9 || len(cfg.Fault.Kinds) != 2 {
@@ -189,7 +189,7 @@ func TestSweepConfigErrorReturns(t *testing.T) {
 	}{
 		{"unknown profile", "t4e", 0, "", "", 0, "", "valid profiles"},
 		{"bad topology", "", 0, "5x", "", 0, "", "topology"},
-		{"unknown pdes", "", 0, "", "warp", 0, "", "pdes"},
+		{"any pdes scheme", "", 0, "", "optimistic", 0, "", "pdes"},
 		{"negative domain", "", -2, "", "", 0, "", "domain"},
 		{"bad fault kind", "", 0, "", "", 0.1, "gremlins", "unknown kind"},
 		{"rate out of range", "", 0, "", "", 1.5, "all", "rate"},
@@ -207,20 +207,19 @@ func TestSweepConfigErrorReturns(t *testing.T) {
 }
 
 func TestMachineErrorReturns(t *testing.T) {
-	mp, err := Machine("pim", 8, 0, "2x2x2", "adaptive")
+	mp, err := Machine("pim", 8, 0, "2x2x2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mp.NumPE != 8 || mp.Profile != "pim" || mp.Topology.X != 2 || mp.PDES != noc.PDESAdaptive {
+	if mp.NumPE != 8 || mp.Profile != "pim" || mp.Topology.X != 2 {
 		t.Errorf("params = %+v", mp)
 	}
-	for _, tc := range []struct{ profile, topo, pdes string }{
-		{"warpdrive", "", ""},
-		{"", "hypercube", ""},
-		{"", "", "psychic"},
+	for _, tc := range []struct{ profile, topo string }{
+		{"warpdrive", ""},
+		{"", "hypercube"},
 	} {
-		if _, err := Machine(tc.profile, 8, 0, tc.topo, tc.pdes); err == nil {
-			t.Errorf("Machine(%q,%q,%q) accepted", tc.profile, tc.topo, tc.pdes)
+		if _, err := Machine(tc.profile, 8, 0, tc.topo); err == nil {
+			t.Errorf("Machine(%q,%q) accepted", tc.profile, tc.topo)
 		}
 	}
 }

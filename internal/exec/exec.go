@@ -3,19 +3,14 @@
 // drives the per-PE caches and prefetch queues, and charges cycle costs.
 //
 // Execution follows the paper's epoch model (§3.1): parallel epochs run
-// their DOALL chunks on all PEs concurrently (one goroutine per PE — PEs
-// touch disjoint data inside an epoch, so the simulation is race-free
-// exactly when the program respects the model); serial epochs run on PE 0;
-// every epoch boundary is a barrier, and write-through caches keep home
-// memory current so the boundary memory-update is implicit.
-//
-// Torus-modeled runs also execute their parallel epochs concurrently, in
-// one of three PDES modes selected by machine.Params.PDES — optimistic
-// speculation with rollback (spec.go, the default), windowed conservative
-// commits, or adaptive per-link lookahead (noc/pdes.go). All three commit
-// link reservations in an order provably equivalent to the canonical
-// sequential PE-major order, so cycle counts stay bit-identical at any
-// GOMAXPROCS and any goroutine interleaving.
+// their DOALL chunks on every PE, serial epochs run on PE 0, every epoch
+// boundary is a barrier, and write-through caches keep home memory current
+// so the boundary memory-update is implicit. A parallel epoch simulates its
+// PEs one after another on the calling goroutine, in PE-major order: PE p's
+// whole chunk (and, on the torus, every link reservation it books) runs
+// before PE p+1's. That order is the simulation's definition, so results
+// never depend on the host. Host parallelism lives one level up, across
+// independent sweep points; an Engine starts no goroutines.
 //
 // Coherence is CHECKED, not assumed: every cached word carries the memory
 // generation it was filled with, and a hit on an out-of-date word is
@@ -33,10 +28,7 @@ package exec
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/cache"
@@ -47,7 +39,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/noc"
-	"repro/internal/parallel"
 	"repro/internal/pfq"
 	"repro/internal/shmem"
 	"repro/internal/stale"
@@ -60,10 +51,7 @@ type Options struct {
 	// DetectRaces records per-epoch read/write address sets of shared
 	// arrays and reports cross-PE conflicts inside one epoch (violations
 	// of the "no data dependences between tasks of a parallel epoch"
-	// model). It forces parallel epochs to run their PEs sequentially: a
-	// program that violates the model must be caught by this checker
-	// deterministically, not by the Go race detector. Expensive; for
-	// tests.
+	// model). Expensive; for tests.
 	DetectRaces bool
 	// FailOnStale makes Run return an error on the first stale-value read
 	// instead of only counting it.
@@ -71,11 +59,6 @@ type Options struct {
 	// TrackStaleRefs records which reference sites observed stale values
 	// (used by the analysis-soundness property tests).
 	TrackStaleRefs bool
-	// SerialTorus forces torus-modeled parallel epochs onto the canonical
-	// sequential-PE booking order instead of the windowed conservative
-	// PDES scheme. Results are identical either way — the equivalence
-	// tests use this as their reference path.
-	SerialTorus bool
 	// Trace, when non-nil, collects the full memory reference stream
 	// (build with trace.New(numPE)). Expensive; for analysis tooling.
 	Trace *trace.Trace
@@ -122,7 +105,8 @@ func Run(c *core.Compiled, opts Options) (*Result, error) {
 	}
 	// Run resets all engine state at entry, so the engine goes back to the
 	// pool even when this run failed (stale-value errors under FailOnStale
-	// are routine in the fuzzing campaign, not engine corruption).
+	// are routine in the fuzzing campaign, not engine corruption); put
+	// drops it only when the run panicked.
 	res, err := e.Run(opts)
 	out := res.detach()
 	pool.put(e)
@@ -162,25 +146,18 @@ type invPlan struct {
 // allocation-flat in steady state. An Engine is not safe for concurrent
 // Runs, and the returned Result (memory, PE cycle slice, violations,
 // network summary) aliases Engine-owned storage that the next Run
-// overwrites — copy whatever must outlive it. Engines whose runs fanned
-// PEs out concurrently own parked worker goroutines until Close.
+// overwrites — copy whatever must outlive it.
 type Engine struct {
 	c     *core.Compiled
 	cp    *cProgram
 	mem   *mem.Memory
 	graph *ir.EpochGraph
 	pes   []*peState
-	// net is the torus interconnect; nil under the flat topology (the
-	// constant-latency model). sess is its windowed-PDES front end.
-	net  *noc.Network
-	sess *noc.Session
-	// tr is the transport the PEs charge remote traffic through this
-	// epoch: nil (flat), net (canonical sequential booking: serial epochs,
-	// race detection, SerialTorus) or sess (concurrent parallel epochs).
-	tr noc.Transport
+	// net is the torus interconnect the PEs book their remote traffic on;
+	// nil under the flat topology (the constant-latency model).
+	net *noc.Network
 	// hw is the hardware coherence layer (hw.go); nil outside the HWDIR
-	// modes. When non-nil, parallel epochs run their PEs sequentially:
-	// directory invalidations mutate other PEs' caches.
+	// modes.
 	hw *hwState
 
 	// Precomputed schedules (New-time, immutable across runs).
@@ -198,55 +175,27 @@ type Engine struct {
 	domains  bool
 	domAware bool
 
-	// Reusable scratch.
-	errs   []error
-	starts []int64
-
-	// Worker pool: one parked goroutine per PE, spawned on the first
-	// concurrent epoch and woken per epoch through wake (spec.go). poolJob
-	// stages the job kind for the next fan-out; curLoop stages the epoch's
-	// loop for runPE. An int job plus Engine-method workers keeps the
-	// per-epoch fan-out allocation-free (closures and method values both
-	// allocate).
-	wake    []chan struct{}
-	poolWG  sync.WaitGroup
-	poolJob int
-	curLoop *cLoop
-
-	// Optimistic-PDES state (spec.go): per-PE predictor recorders,
-	// epoch-entry snapshots and re-execution memos, all engine-reused.
-	recs          []*noc.SpecRecorder
-	snaps         []peSnap
-	memos         []memoTransport
-	specRollbacks int64
-
-	// Validation-phase scratch (spec.go): the set of shared words any PE
-	// wrote in the current speculative epoch, and the one being validated
-	// wrote, for the read-write hazard check and the prefetch-queue repair.
-	wAll, wrote *bitset.Sparse
-
 	// Reusable result storage: Run returns &res, so a Result's slices and
 	// Net summary alias Engine-owned memory that the next Run overwrites.
 	res      Result
 	peCycles []int64
 	netSum   noc.Summary
 
-	// Per-run state.
+	// Per-run state. curPE is the PE whose parallel-epoch chunk is
+	// executing (-1 outside one), so a recovered panic can name it.
 	opts       Options
 	stats      stats.Stats
 	inj        *fault.Injector
-	pdes       bool
-	optimistic bool
-	flatSpec   bool
 	staleErr   error
 	violations []fault.Violation
-	staleMu    sync.Mutex
+	curPE      int
+	// panicked marks an engine whose last Run recovered a panic: its state
+	// may be half-updated, so the pool drops it instead of reusing it.
+	panicked bool
 }
 
 // domainTopo is the machine's interconnect config with its coherence-domain
-// fields injected: the noc near tier is profile-derived, never parsed, so
-// every transport built for this machine (canonical network, PDES session,
-// optimistic predictor fleet) must come through here to see the same costs.
+// fields injected: the noc near tier is profile-derived, never parsed.
 func domainTopo(mp machine.Params) noc.Config {
 	topo := mp.Topology
 	if mp.DomainSize > 1 {
@@ -308,12 +257,7 @@ func New(c *core.Compiled) (*Engine, error) {
 		}
 	}
 	e := &Engine{c: c, cp: cp, graph: graph, net: net,
-		mem:    mem.New(prog, mp.NumPE, c.TotalWords),
-		errs:   make([]error, mp.NumPE),
-		starts: make([]int64, mp.NumPE),
-	}
-	if net != nil {
-		e.sess = noc.NewSession(net)
+		mem: mem.New(prog, mp.NumPE, c.TotalWords),
 	}
 
 	// Precompute the dynamic epoch schedule with context bindings resolved
@@ -403,11 +347,20 @@ func New(c *core.Compiled) (*Engine, error) {
 	return e, nil
 }
 
-// Run executes the program, resetting all Engine-owned state first.
+// Run executes the program, resetting all Engine-owned state first. A
+// panic anywhere in the run (a program bug, an exhausted fault budget) is
+// recovered into the returned error.
 func (e *Engine) Run(opts Options) (res *Result, err error) {
+	e.curPE, e.panicked = -1, false
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("exec: %v", r)
+			e.panicked = true
+			res = nil
+			if e.curPE >= 0 {
+				err = fmt.Errorf("PE %d: %v", e.curPE, r)
+			} else {
+				err = fmt.Errorf("exec: %v", r)
+			}
 		}
 	}()
 
@@ -425,47 +378,11 @@ func (e *Engine) Run(opts Options) (res *Result, err error) {
 	e.violations = e.violations[:0]
 	e.inj = fault.NewInjector(opts.Fault, mp.NumPE)
 	e.mem.Reset()
-	// The engine starts single-threaded (epoch setup, serial epochs); the
-	// parallel fan-out flips the memory to atomic mode only while PE
-	// goroutines actually run concurrently.
-	e.mem.SetSerial(true)
 	if e.net != nil {
 		e.net.Reset()
-		e.tr = e.net
-	} else {
-		e.tr = nil
 	}
 	if e.hw != nil {
 		e.hw.dir.Reset()
-	}
-	// The PDES path needs more than one scheduler thread to win anything;
-	// on a single thread the canonical sequential order is the same
-	// simulation without the cross-goroutine choreography. The HW modes
-	// never use it: their epochs are sequential (see hw field).
-	e.pdes = e.net != nil && mp.NumPE > 1 && !opts.DetectRaces && !opts.SerialTorus &&
-		e.hw == nil && runtime.GOMAXPROCS(0) > 1
-	// Optimistic speculation additionally excludes fault injection (fault
-	// streams are stateful draws a rollback cannot rewind), tracing (the
-	// stream would record speculative timings) and stale-ref attribution
-	// (per-ref counts would double-count re-executed reads). Those runs
-	// fall back to the conservative session, which handles them all.
-	e.optimistic = e.pdes && mp.PDES == noc.PDESOptimistic &&
-		e.inj == nil && opts.Trace == nil && !opts.TrackStaleRefs
-	// Flat concurrent epochs have no link state to validate, but they share
-	// memory, so line fills and prefetch captures race with same-epoch
-	// writes exactly as torus speculation does (the INCOHERENT mode makes
-	// the race observable as nondeterministic oracle counts). The same
-	// capture bookkeeping settles them deterministically (spec.go); the
-	// exclusions mirror e.optimistic's, and excluded runs keep the plain
-	// fan-out.
-	e.flatSpec = e.net == nil && mp.NumPE > 1 && !opts.DetectRaces &&
-		e.hw == nil && e.inj == nil && opts.Trace == nil && !opts.TrackStaleRefs
-	if e.sess != nil {
-		if mp.PDES == noc.PDESAdaptive {
-			e.sess.SetMode(noc.PDESAdaptive)
-		} else {
-			e.sess.SetMode(noc.PDESConservative)
-		}
 	}
 	for _, pe := range e.pes {
 		pe.reset()
@@ -534,15 +451,6 @@ func (pe *peState) reset() {
 	pe.staleByRef = nil
 	pe.demoted = 0
 	pe.crossInv = nil
-	pe.sess = nil
-	pe.tr = e.tr
-	pe.spec = false
-	pe.pendViol = pe.pendViol[:0]
-	pe.undo = pe.undo[:0]
-	pe.filled = pe.filled[:0]
-	if pe.consumed != nil {
-		pe.consumed.Reset()
-	}
 	pe.fault, pe.shFaults = nil, nil
 	if e.inj != nil {
 		pe.fault = e.inj.PE(pe.id)
@@ -702,111 +610,44 @@ func (e *Engine) epoch(inst *epochInst) error {
 	return nil
 }
 
-// parallelEpoch runs the DOALL on all PEs concurrently, safe because tasks
-// of one epoch touch disjoint data. Four cases:
-//
-//   - DetectRaces or 1 PE or a HWDIR mode or Options.SerialTorus (with a
-//     torus) or a single-threaded scheduler: the PEs run sequentially on
-//     the calling goroutine. This is the canonical order torus link booking
-//     is defined against: PE p's whole epoch books before PE p+1's. The
-//     HWDIR modes are pinned here because directory invalidations mutate
-//     OTHER PEs' caches — the disjoint-data argument the concurrent cases
-//     rest on does not hold for them.
-//   - Torus, optimistic (the default): all PEs speculate concurrently on
-//     private predictor networks, then a serial pass validates and commits
-//     (or rolls back and re-executes) in PE-major order (spec.go).
-//   - Torus, conservative or adaptive: all PEs run concurrently; link
-//     reservations commit through the windowed PDES session, which
-//     reproduces the canonical order's placements exactly (see
-//     noc/pdes.go), so results stay bit-identical at any GOMAXPROCS and
-//     interleaving.
-//   - Flat: no link state exists and PE clocks are fully independent, so
-//     the PEs fan out over the shared worker budget (degrading to inline
-//     when the machine is busy), work-stealing by atomic index. Memory is
-//     still shared, though: line fills and prefetch captures race with
-//     same-epoch writes, so fault-free untraced runs carry the speculative
-//     capture bookkeeping and settle serially afterwards (settleFlat,
-//     spec.go), keeping results bit-identical to the canonical PE-major
-//     order at any GOMAXPROCS.
+// parallelEpoch runs the DOALL on every PE in PE-major order on the
+// calling goroutine: PE p's whole chunk, including every torus link
+// reservation it books, completes before PE p+1's starts. This order is the
+// simulation's definition of a parallel epoch. It also keeps the HWDIR
+// modes exact, since their directory invalidations mutate other PEs'
+// caches mid-epoch.
 func (e *Engine) parallelEpoch(node *ir.EpochNode) error {
-	e.curLoop = e.cp.nodes[node.Index].loop
-	errs := e.errs
-	for i := range errs {
-		errs[i] = nil
-	}
-
-	switch {
-	case e.opts.DetectRaces || len(e.pes) == 1 || e.hw != nil || (e.net != nil && !e.pdes):
-		for p := range e.pes {
-			e.runPE(p)
-		}
-
-	case e.net != nil && e.optimistic:
-		e.specEpoch()
-
-	case e.net != nil:
-		// Windowed PDES session: one pool worker per PE (they spend their
-		// commit waits blocked, so this does not draw from the shared
-		// worker budget), clocks seeded with the epoch-entry times.
-		for p, pe := range e.pes {
-			e.starts[p] = pe.now
-			pe.sess = e.sess
-			pe.tr = e.sess
-		}
-		e.sess.Begin(e.starts)
-		e.mem.SetSerial(false)
-		e.fanOut(jobSession)
-		e.mem.SetSerial(true)
-		for _, pe := range e.pes {
-			pe.sess = nil
-			pe.tr = e.net
-		}
-
-	default:
-		extra := parallel.AcquireWorkers(len(e.pes) - 1)
-		if extra == 0 {
-			for p := range e.pes {
-				e.runPE(p)
-			}
-			break
-		}
-		if e.flatSpec {
-			e.beginMemSpec()
-		}
-		e.mem.SetSerial(false)
-		var next atomic.Int64
-		work := func() {
-			for {
-				p := int(next.Add(1)) - 1
-				if p >= len(e.pes) {
-					return
-				}
-				e.runPE(p)
-			}
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < extra; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		work()
-		wg.Wait()
-		parallel.ReleaseWorkers(extra)
-		e.mem.SetSerial(true)
-		if e.flatSpec {
-			e.settleFlat()
-		}
-	}
-
-	for _, err := range errs {
-		if err != nil {
+	loop := e.cp.nodes[node.Index].loop
+	for p := range e.pes {
+		if err := e.runPE(p, loop); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// runPE executes PE p's share of a parallel epoch's DOALL loop.
+func (e *Engine) runPE(p int, loop *cLoop) error {
+	// No defer resets curPE: Run's recover must still see it on a panic.
+	e.curPE = p
+	pe := e.pes[p]
+	if e.opts.DetectRaces {
+		if pe.raceRd == nil {
+			pe.raceRd = bitset.NewSparse(e.mem.Words())
+			pe.raceWr = bitset.NewSparse(e.mem.Words())
+		}
+		pe.reads = pe.raceRd
+		pe.writes = pe.raceWr
+	}
+	switch e.c.Mode {
+	case core.ModeBase:
+		pe.now += e.c.Machine.CraftDosharedSetupCost
+	case core.ModeCCDP:
+		pe.now += e.c.Machine.CCDPLoopSetupCost
+	}
+	err := pe.runDoall(loop)
+	e.curPE = -1
+	return err
 }
 
 // checkRaces verifies that no two PEs conflicted inside the epoch. The
@@ -863,21 +704,19 @@ func (e *Engine) reportStale(pe *peState, r *ir.Ref, addr int64, gen uint32) {
 	if r != nil {
 		v.Ref = r.String()
 	}
-	if pe.spec {
-		// Speculative epoch: buffer on the PE and merge at commit (PE-major,
-		// deterministic, no lock); a rollback discards and the re-execution
-		// re-detects.
-		if len(pe.pendViol) < maxRecordedViolations {
-			pe.pendViol = append(pe.pendViol, v)
-		}
-		return
-	}
-	e.staleMu.Lock()
 	if len(e.violations) < maxRecordedViolations {
 		e.violations = append(e.violations, v)
 	}
 	if e.opts.FailOnStale && e.staleErr == nil {
 		e.staleErr = fmt.Errorf("exec: %v", v)
 	}
-	e.staleMu.Unlock()
 }
+
+// SpecRollbacks reports how many PE-epochs were rolled back and
+// re-executed. Parallel epochs no longer speculate, so it is always 0; it
+// stays for callers that still report the count.
+func (e *Engine) SpecRollbacks() int64 { return 0 }
+
+// Close is a no-op: an Engine holds no goroutines or other resources
+// beyond its memory. It stays for callers written when it did.
+func (e *Engine) Close() {}

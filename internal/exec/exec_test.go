@@ -1,13 +1,18 @@
 package exec
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/noc"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // stencilProg builds a 1-D Jacobi-like program with genuine cross-PE halo
@@ -367,6 +372,170 @@ func TestMorePEsThanIterations(t *testing.T) {
 	for i := range data {
 		if data[i] != float64(i) {
 			t.Errorf("A[%d] = %v", i, data[i])
+		}
+	}
+}
+
+// resultSnap deep-copies the comparable observables of a Result: a Result
+// returned by Engine.Run aliases Engine-owned storage that the next Run on
+// the same Engine overwrites, so cross-run comparisons must copy first.
+type resultSnap struct {
+	cycles     int64
+	stats      interface{}
+	pecycles   []int64
+	violations []fault.Violation
+	net        *noc.Summary
+	data       [][]float64
+}
+
+func snapResult(r *Result, spec *workloads.Spec) resultSnap {
+	s := resultSnap{
+		cycles:     r.Cycles,
+		stats:      r.Stats,
+		pecycles:   append([]int64(nil), r.PECycles...),
+		violations: append([]fault.Violation(nil), r.Violations...),
+	}
+	if r.Net != nil {
+		s.net = r.Net.Clone()
+	}
+	for _, name := range spec.CheckArrays {
+		s.data = append(s.data, r.Mem.ArrayData(r.Mem.ArrayNamed(name)))
+	}
+	return s
+}
+
+// diff names the first observable on which two snapshots differ ("" when
+// they are identical).
+func (s resultSnap) diff(o resultSnap) string {
+	switch {
+	case s.cycles != o.cycles || s.stats != o.stats:
+		return "stats"
+	case !reflect.DeepEqual(s.pecycles, o.pecycles):
+		return "per-PE cycles"
+	case !reflect.DeepEqual(s.violations, o.violations):
+		return "oracle violations"
+	case !reflect.DeepEqual(s.net, o.net):
+		return "network summary"
+	case !reflect.DeepEqual(s.data, o.data):
+		return "results"
+	}
+	return ""
+}
+
+// TestEngineReuseIsDeterministic pins the arena behaviour the Engine split
+// exists for: one Engine Run repeatedly on the same arenas must reproduce
+// the identical result every time, on both topologies.
+func TestEngineReuseIsDeterministic(t *testing.T) {
+	spec := workloads.MXM(32, 16, 8)
+	for _, topo := range []string{"flat", "torus"} {
+		t.Run(topo, func(t *testing.T) {
+			mp := machine.T3D(8)
+			var err error
+			if mp.Topology, err = noc.Parse(topo); err != nil {
+				t.Fatal(err)
+			}
+			c, err := core.Compile(spec.Prog, core.ModeCCDP, mp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := New(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ref resultSnap
+			for i := 0; i < 4; i++ {
+				r, err := eng.Run(Options{FailOnStale: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := snapResult(r, spec)
+				if i == 0 {
+					ref = got
+					continue
+				}
+				if d := got.diff(ref); d != "" {
+					t.Errorf("run %d: %s diverge from run 0", i, d)
+				}
+			}
+		})
+	}
+}
+
+// TestPoolReuseAfterFailureMatchesFresh is the engine-pool property: after
+// a run that failed (INCOHERENT with FailOnStale) and after a run that
+// panicked, the next Run of the same compilation must equal a fresh
+// engine's run — across modes, both topologies, with and without a fault
+// plan. The panic comes from a deliberately corrupted engine planted in the
+// pool; its Run resets nothing that would repair the corruption, so the
+// pool must drop it rather than hand it out again.
+func TestPoolReuseAfterFailureMatchesFresh(t *testing.T) {
+	spec := workloads.SWIM(33, 2)
+	plans := map[string]fault.Plan{
+		"no-faults": {},
+		"faults":    {Seed: 7, Rate: 0.02, Kinds: []fault.Kind{fault.KindLate, fault.KindSpike, fault.KindSkew}},
+	}
+	for _, mode := range []core.Mode{core.ModeBase, core.ModeCCDP, core.ModeIncoherent, core.ModeHWDir} {
+		for _, topo := range []string{"flat", "torus"} {
+			for _, planName := range []string{"no-faults", "faults"} {
+				name := fmt.Sprintf("%v-%s-%s", mode, topo, planName)
+				t.Run(name, func(t *testing.T) {
+					mp := machine.T3D(8)
+					var err error
+					if mp.Topology, err = noc.Parse(topo); err != nil {
+						t.Fatal(err)
+					}
+					c, err := core.Compile(spec.Prog, mode, mp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts := Options{Fault: plans[planName]}
+					fresh, err := New(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fr, err := fresh.Run(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := snapResult(fr, spec)
+					check := func(after string) {
+						t.Helper()
+						r, err := Run(c, opts)
+						if err != nil {
+							t.Fatalf("after %s: %v", after, err)
+						}
+						if d := snapResult(r, spec).diff(want); d != "" {
+							t.Errorf("after %s: %s diverge from a fresh engine", after, d)
+						}
+					}
+
+					if mode == core.ModeIncoherent {
+						if _, err := Run(c, Options{FailOnStale: true, Fault: opts.Fault}); err == nil {
+							t.Fatal("INCOHERENT run with FailOnStale did not fail")
+						}
+						check("a failed run")
+					}
+
+					bad, err := New(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bad.pes[0].idxScratch = nil // every array access now panics
+					pool := poolFor(c)
+					pool.put(bad)
+					if _, err := Run(c, opts); err == nil {
+						t.Fatal("run on the corrupted engine did not fail")
+					}
+					pool.mu.Lock()
+					for _, e := range pool.idle {
+						if e == bad {
+							t.Error("pool kept the engine whose run panicked")
+						}
+					}
+					pool.mu.Unlock()
+					check("a panicked run")
+				})
+			}
 		}
 	}
 }

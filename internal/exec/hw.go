@@ -25,10 +25,9 @@ import (
 // The MESI state byte rides in each cache line (cache.Line.State); the
 // directory's protocol decisions drive the accounting: E fills upgrade
 // silently, S writers run an invalidation round, M victims and recalls
-// write a full line back. HW-mode parallel epochs run their PEs
-// sequentially (exec.parallelEpoch): an invalidation mutates OTHER PEs'
-// caches, which the disjoint-data argument for concurrent epochs cannot
-// cover.
+// write a full line back. An invalidation mutates OTHER PEs' caches
+// mid-epoch, which is exact because parallel epochs simulate their PEs one
+// after another in PE-major order (exec.parallelEpoch).
 
 // hwState is the engine's per-run hardware coherence state, non-nil only
 // in the HWDIR modes.
@@ -50,8 +49,8 @@ func (pe *peState) cohMsg(src, dst int, words, at int64) int64 {
 		return at
 	}
 	pe.stats.CohMessages++
-	if tr := pe.eng.tr; tr != nil {
-		arrive, _ := tr.Send(src, dst, words, at, 0)
+	if net := pe.eng.net; net != nil {
+		arrive, _ := net.Send(src, dst, words, at, 0)
 		return arrive
 	}
 	return at + pe.eng.c.Machine.RemoteReadCostFor(src, dst)/2
@@ -130,8 +129,8 @@ func (pe *peState) hwFill(la, at, spike int64) int64 {
 	var arrive int64
 	if home == pe.id {
 		arrive = at + mp.LocalMemCost
-	} else if tr := e.tr; tr != nil {
-		arrive, _ = tr.RoundTrip(pe.id, home, mp.LineWords, at, spike)
+	} else if net := e.net; net != nil {
+		arrive, _ = net.RoundTrip(pe.id, home, mp.LineWords, at, spike)
 	} else {
 		arrive = at + mp.RemoteReadCostFor(pe.id, home) + spike
 	}

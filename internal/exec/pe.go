@@ -12,7 +12,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/mem"
-	"repro/internal/noc"
 	"repro/internal/pfq"
 	"repro/internal/shmem"
 	"repro/internal/stats"
@@ -31,40 +30,6 @@ type peState struct {
 	cache *cache.Cache
 	pq    *pfq.Queue
 	stats stats.Stats
-
-	// sess is non-nil only while this PE runs inside a concurrent torus
-	// epoch: tick() publishes the PE's clock through it so lower-numbered
-	// PEs' progress unblocks higher-numbered PEs' link commits promptly.
-	sess *noc.Session
-
-	// tr is the transport this PE charges remote traffic through: the
-	// engine default (net, or nil under the flat topology), the
-	// conservative-PDES session, or — optimistic epochs — the PE's private
-	// speculation recorder / rollback re-execution memo (spec.go).
-	tr noc.Transport
-
-	// spec marks that the PE is executing a speculative torus epoch (or
-	// re-executing it after a rollback): coherence-oracle hits are buffered
-	// in pendViol until the epoch commits, and every memory write first
-	// logs the word's previous bits in undo so a mis-speculation can be
-	// rolled back. Both slices are engine-reused across epochs.
-	spec     bool
-	pendViol []fault.Violation
-	undo     []memUndo
-
-	// consumed/filled are the speculation's capture logs, reset at every
-	// speculative epoch entry. consumed is the set of shared words whose
-	// value or generation the PE's chunk consumed (every readMem path ends
-	// in oracleCheck, which records it): the validation phase convicts the
-	// PE if any of them was written by another PE this epoch, since the
-	// concurrent read raced. filled lists the line addresses the chunk
-	// installed (demand fills and vector-prefetch gets): those captured
-	// whole lines from racing memory, including neighbor words the PE never
-	// consumed, so clean commits repair them from canonical memory instead
-	// of rolling back (spec.go). consumed is allocated on the first
-	// speculative epoch; both are engine-reused.
-	consumed *bitset.Sparse
-	filled   []int64
 
 	// scalars holds the PE-private scalar values, indexed by scalar slot;
 	// scalarWritten marks the slots this PE has ever stored to (the set the
@@ -179,7 +144,6 @@ func (pe *peState) runDoall(l *cLoop) error {
 			if int((it-lo)/step)%mp.NumPE != pe.id {
 				continue
 			}
-			pe.tick()
 			pe.now += mp.DynamicSchedCost + mp.LoopIterCost
 			pe.env[l.varSlot] = it
 			pe.bound[l.varSlot] = true
@@ -196,7 +160,6 @@ func (pe *peState) runDoall(l *cLoop) error {
 			break
 		}
 		for it := chunk.Lo; it <= chunk.Hi; it++ {
-			pe.tick()
 			pe.now += mp.LoopIterCost
 			pe.env[l.varSlot] = it
 			pe.bound[l.varSlot] = true
@@ -213,15 +176,6 @@ func (pe *peState) runDoall(l *cLoop) error {
 func (pe *peState) clearRegs() {
 	pe.regA = pe.regA[:0]
 	pe.regV = pe.regV[:0]
-}
-
-// tick publishes the PE's clock to the torus PDES session (no-op outside
-// concurrent torus epochs). Frequency affects only how soon other PEs'
-// commits unblock, never any simulated result.
-func (pe *peState) tick() {
-	if s := pe.sess; s != nil {
-		s.Publish(pe.id, pe.now)
-	}
 }
 
 func (pe *peState) runStmts(body []cStmt) error {
@@ -294,7 +248,6 @@ func (pe *peState) runSerialLoop(l *cLoop) error {
 	}
 
 	for it := lo; it <= hi; it += step {
-		pe.tick()
 		pe.now += mp.LoopIterCost
 		pe.env[l.varSlot] = it
 		pe.bound[l.varSlot] = true
@@ -599,8 +552,8 @@ func (pe *peState) readMem(r *cRef, addr int64) float64 {
 func (pe *peState) chargeRemoteRead(addr, words int64) {
 	mp := pe.eng.c.Machine
 	home := pe.eng.mem.OwnerOf(addr)
-	if tr := pe.tr; tr != nil {
-		arrive, _ := tr.RoundTrip(pe.id, home, words, pe.now, pe.remoteSpike())
+	if net := pe.eng.net; net != nil {
+		arrive, _ := net.RoundTrip(pe.id, home, words, pe.now, pe.remoteSpike())
 		pe.now = arrive
 	} else {
 		pe.now += mp.RemoteReadCostFor(pe.id, home) + pe.remoteSpike()
@@ -651,8 +604,8 @@ func (pe *peState) domainSkip(addr int64) bool {
 // packet is still booked along the route so it contends with other traffic.
 func (pe *peState) chargeRemoteWrite(addr int64) {
 	home := pe.eng.mem.OwnerOf(addr)
-	if tr := pe.tr; tr != nil {
-		tr.Send(pe.id, home, 1, pe.now, 0)
+	if net := pe.eng.net; net != nil {
+		net.Send(pe.id, home, 1, pe.now, 0)
 	}
 	pe.now += pe.eng.c.Machine.RemoteWriteCostFor(pe.id, home)
 	pe.stats.RemoteWrites++
@@ -663,9 +616,6 @@ func (pe *peState) chargeRemoteWrite(addr int64) {
 // program consumes must carry memory's current generation for its address.
 // The fast path is one load and a compare.
 func (pe *peState) oracleCheck(r *cRef, addr int64, gen uint32) {
-	if pe.spec {
-		pe.consumed.Add(addr)
-	}
 	if gen == pe.eng.mem.Gen(addr) {
 		return
 	}
@@ -708,15 +658,7 @@ func (pe *peState) writeRef(r *cRef, v float64) {
 
 	pe.regUpdate(addr, v)
 	pe.record(addr, trace.KindWrite)
-	if pe.spec {
-		b, g := m.PeekBits(addr)
-		pe.undo = append(pe.undo, memUndo{addr: addr, preBits: b, preGen: g})
-	}
 	gen := m.Write(addr, v)
-	if pe.spec {
-		u := &pe.undo[len(pe.undo)-1]
-		u.postBits, u.postGen = math.Float64bits(v), gen
-	}
 
 	// Hardware coherence arena: memory is current (write-through above);
 	// the directory invalidates every other cached copy (hw.go).
@@ -768,20 +710,6 @@ func (pe *peState) installLine(addr int64, readyAt int64) {
 		}
 	}
 	pe.cache.Install(la, vals, gens, readyAt)
-	if pe.spec {
-		pe.logFill(la)
-	}
-}
-
-// logFill records a speculative line fill for the validation phase's
-// capture repair. Consecutive duplicates (a line walked word by word)
-// collapse; non-consecutive ones (evict then refill) are harmless because
-// the repair is idempotent.
-func (pe *peState) logFill(la int64) {
-	if n := len(pe.filled); n > 0 && pe.filled[n-1] == la {
-		return
-	}
-	pe.filled = append(pe.filled, la)
 }
 
 // --- Prefetch operations ----------------------------------------------------
@@ -826,9 +754,9 @@ func (pe *peState) issueAt(addr int64) {
 			lat += pe.fault.LateDelay()
 		}
 		readyAt = pe.now + lat
-	} else if tr := pe.tr; tr != nil {
-		arrive, wait := tr.RoundTrip(pe.id, owner, 1, pe.now, 0)
-		if wait > tr.DropWaitCycles() {
+	} else if net := pe.eng.net; net != nil {
+		arrive, wait := net.RoundTrip(pe.id, owner, 1, pe.now, 0)
+		if wait > net.DropWaitCycles() {
 			// Congestion timeout: the network held the prefetch longer than
 			// the hardware keeps the request alive, so it never completes.
 			// The consuming read will demote to a bypass fetch (§3.2).
@@ -877,7 +805,7 @@ func (pe *peState) vectorPrefetch(vp *cVP, lo, hi, step int64) {
 	if len(pe.vpAddrs) == 0 {
 		return
 	}
-	cost, droppedLines := shmem.GetOverNet(pe.eng.mem, pe.cache, pe.eng.c.Machine, pe.tr, pe.id, pe.vpAddrs, pe.now, pe.shFaults, pe.shScratch)
+	cost, droppedLines := shmem.GetOverNet(pe.eng.mem, pe.cache, pe.eng.c.Machine, pe.eng.net, pe.id, pe.vpAddrs, pe.now, pe.shFaults, pe.shScratch)
 	pe.now += cost
 	lw := pe.eng.c.Machine.LineWords
 	for _, a := range pe.vpAddrs {
@@ -888,9 +816,6 @@ func (pe *peState) vectorPrefetch(vp *cVP, lo, hi, step int64) {
 			continue
 		}
 		pe.buffered.Add(la / lw)
-		if pe.spec {
-			pe.logFill(la)
-		}
 	}
 	if pe.eng.domAware {
 		for _, a := range pe.vpAddrs {

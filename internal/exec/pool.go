@@ -23,9 +23,9 @@ import (
 // of memory.
 const maxIdleEngines = 4
 
-// enginePool is the per-Compiled idle-engine cache. Parked engines hold no
-// goroutines (put closes the worker pool first), so a pool that becomes
-// garbage with its Compiled takes its engines with it.
+// enginePool is the per-Compiled idle-engine cache. Engines hold no
+// goroutines, so a pool that becomes garbage with its Compiled takes its
+// engines with it.
 type enginePool struct {
 	mu   sync.Mutex
 	idle []*Engine
@@ -47,12 +47,12 @@ func (p *enginePool) get() *Engine {
 	return nil
 }
 
+// put parks e for reuse, unless its last Run panicked: a panic can leave
+// the engine's state half-updated, so it is dropped rather than trusted.
 func (p *enginePool) put(e *Engine) {
-	// Closing first keeps parked engines goroutine-free: a worker goroutine
-	// is a GC root, and one parked on a pooled engine would keep the engine,
-	// the pool and the Compiled reachable forever. The next Run's first
-	// concurrent epoch respawns the workers.
-	e.Close()
+	if e.panicked {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.idle) < maxIdleEngines {

@@ -7,9 +7,9 @@
 // network packets, contention, conflict evictions, drifting clocks).
 //
 // Reproducibility is the design center: a Plan carries a seed and every PE
-// draws from its own RNG stream derived from that seed, so results are
-// bit-identical across runs regardless of how the per-PE goroutines
-// interleave. A zero Plan (rate 0) is the fault-free machine.
+// draws from its own RNG stream derived from that seed, so a PE's fault
+// sequence depends only on the seed and its id, and results are
+// bit-identical across runs. A zero Plan (rate 0) is the fault-free machine.
 package fault
 
 import (
@@ -253,8 +253,7 @@ func (inj *Injector) Plan() Plan { return inj.plan }
 // PE returns processor id's private fault stream.
 func (inj *Injector) PE(id int) *PE { return inj.pes[id] }
 
-// Counts sums the per-PE fault tallies. Call only after the run's PE
-// goroutines have finished.
+// Counts sums the per-PE fault tallies.
 func (inj *Injector) Counts() Counts {
 	var c Counts
 	for _, pe := range inj.pes {
@@ -263,8 +262,8 @@ func (inj *Injector) Counts() Counts {
 	return c
 }
 
-// PE is one processor's deterministic fault stream. Not safe for use from
-// multiple goroutines — each simulated PE owns exactly one.
+// PE is one processor's deterministic fault stream; each simulated PE owns
+// exactly one.
 type PE struct {
 	id     int
 	plan   Plan

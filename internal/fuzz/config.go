@@ -12,8 +12,7 @@ import (
 )
 
 // RunConfig is one point of the differential matrix: a mode, a machine
-// profile, a PE count, a topology, a torus PDES commit scheme and a fault
-// plan. Its String form round-trips through ParseRunConfig, so repro
+// profile, a PE count, a topology and a fault plan. Its String form round-trips through ParseRunConfig, so repro
 // artifacts can record the exact configuration.
 type RunConfig struct {
 	Mode core.Mode
@@ -22,21 +21,16 @@ type RunConfig struct {
 	Profile  string
 	PEs      int
 	Topology noc.Config
-	PDES     noc.PDESMode
 	Fault    fault.Plan
 }
 
-// String renders the config as space-separated key=value tokens. The pdes
-// and profile tokens are omitted for their zero (optimistic / t3d) values,
-// so artifacts recorded before those dimensions existed still parse to the
-// same config.
+// String renders the config as space-separated key=value tokens. The
+// profile token is omitted for its zero (t3d) value, so artifacts recorded
+// before that dimension existed still parse to the same config.
 func (rc RunConfig) String() string {
 	s := fmt.Sprintf("mode=%s pes=%d topo=%s", rc.Mode, rc.PEs, rc.Topology)
 	if rc.Profile != "" && rc.Profile != "t3d" {
 		s += " profile=" + rc.Profile
-	}
-	if rc.PDES != noc.PDESOptimistic {
-		s += " pdes=" + rc.PDES.String()
 	}
 	if rc.Fault.Enabled() {
 		s += fmt.Sprintf(" frate=%g fkinds=%s fseed=%d",
@@ -46,16 +40,14 @@ func (rc RunConfig) String() string {
 }
 
 // MachineParams builds the machine configuration one run executes on: the
-// named profile at the config's PE count, with the topology and PDES
-// scheme applied. An unknown profile name is an error that lists the valid
-// profiles.
+// named profile at the config's PE count, with the topology applied. An
+// unknown profile name is an error that lists the valid profiles.
 func (rc RunConfig) MachineParams() (machine.Params, error) {
 	mp, err := machine.ProfileParams(rc.Profile, rc.PEs)
 	if err != nil {
 		return machine.Params{}, fmt.Errorf("fuzz: %w", err)
 	}
 	mp.Topology = rc.Topology
-	mp.PDES = rc.PDES
 	return mp, nil
 }
 
@@ -89,8 +81,6 @@ func ParseRunConfig(s string) (RunConfig, error) {
 			rc.Profile = val
 		case "topo":
 			rc.Topology, err = noc.Parse(val)
-		case "pdes":
-			rc.PDES, err = noc.ParsePDES(val)
 		case "frate":
 			rc.Fault.Rate, err = strconv.ParseFloat(val, 64)
 		case "fkinds":
@@ -136,13 +126,6 @@ func DefaultMatrix(faultSeed int64) []RunConfig {
 				}
 			}
 		}
-	}
-	// The torus entries above run the default optimistic PDES scheme; one
-	// fault-free CCDP point per alternative scheme pins all three against
-	// the same referees (including the canonical-timing referee).
-	for _, pm := range []noc.PDESMode{noc.PDESConservative, noc.PDESAdaptive} {
-		out = append(out, RunConfig{Mode: core.ModeCCDP, PEs: 8,
-			Topology: noc.Config{Kind: noc.KindTorus}, PDES: pm})
 	}
 	out = append(out, ProfileMatrix()...)
 	return append(out, HWMatrix()...)
@@ -193,19 +176,6 @@ func CoherenceMatrix() []RunConfig {
 		for _, pes := range []int{3, 8} {
 			out = append(out, RunConfig{Mode: core.ModeCCDP, PEs: pes, Topology: topo})
 		}
-	}
-	return out
-}
-
-// TimingMatrix is the slice of the default matrix where the optimistic
-// torus PDES scheme engages: fault-free CCDP on the torus at an uneven (3)
-// and an even (8) PE count. The rollback-sabotage mutation test uses it to
-// bound its search the way CoherenceMatrix bounds the invalidation tests'.
-func TimingMatrix() []RunConfig {
-	var out []RunConfig
-	for _, pes := range []int{3, 8} {
-		out = append(out, RunConfig{Mode: core.ModeCCDP, PEs: pes,
-			Topology: noc.Config{Kind: noc.KindTorus}})
 	}
 	return out
 }

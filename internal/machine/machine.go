@@ -157,21 +157,6 @@ type Params struct {
 	// being charged and the noc per-hop/per-word costs take over).
 	Topology noc.Config
 
-	// PDES selects how parallel torus epochs commit their link
-	// reservations: optimistic (speculate on private predictor networks,
-	// validate against the canonical PE-major placement, roll back
-	// mis-speculations — the default), windowed conservative, or adaptive
-	// per-link lookahead. Every mode produces bit-identical simulation
-	// results; they differ only in synchronization cost and wall-clock
-	// scaling. Ignored off the torus and in inherently sequential runs.
-	PDES noc.PDESMode
-	// PDESNoRollback is the fuzz campaign's sabotage switch for the
-	// optimistic mode: mispredicted speculative results are kept instead of
-	// rolled back, so per-PE timing silently diverges from the canonical
-	// booking order and the divergence referee must flag it. Never set
-	// outside sabotage tests.
-	PDESNoRollback bool
-
 	// --- Machine profile & coherence domains ---
 
 	// Profile is the registry name this Params was built from (see

@@ -13,13 +13,10 @@
 // the link's idle gaps). Per-link occupancy, queueing waits and hop
 // distances are recorded for the observability reports.
 //
-// Determinism: the Network itself is NOT safe for concurrent use. Callers
-// either book from a single goroutine in canonical PE order (serial epochs,
-// race-detection runs, the sequential reference path) or go through a
-// Session (pdes.go), the windowed conservative-PDES front end that lets all
-// PEs of a parallel epoch run concurrently while committing reservations in
-// an order provably equivalent to the canonical sequential one — cycle
-// counts are bit-identical either way. The zero-value Config (KindFlat)
+// Determinism: the Network is NOT safe for concurrent use. The execution
+// engine books every message from one goroutine, in canonical PE-major
+// order, so placements and cycle counts are a function of the program and
+// the machine alone. The zero-value Config (KindFlat)
 // means "no modeled network": callers keep the machine model's constant
 // remote latencies and never construct a Network at all.
 package noc
@@ -219,15 +216,10 @@ type Network struct {
 	// allocation).
 	scratch []int32
 	// names caches the rendered per-link names ("PE7+x"); built on first
-	// LinkName call so the many predictor networks of an optimistic run,
-	// which never report, pay nothing. Keeping fmt off the Run path also
-	// makes steady-state allocation counts deterministic (fmt's internal
-	// sync.Pool refills after a GC showed up as ±1 allocs/op drift in the
-	// benchmarks).
+	// LinkName call, which keeps fmt off the Run path and steady-state
+	// allocation counts deterministic (fmt's internal sync.Pool refills
+	// after a GC showed up as ±1 allocs/op drift in the benchmarks).
 	names []string
-	// dist caches pairwise route lengths (dist[src*numPE+dst]) for the
-	// adaptive PDES commit rule; built on first Dist call.
-	dist []int32
 	// topoStr caches the rendered topology label (summary.go).
 	topoStr string
 
@@ -306,26 +298,6 @@ func (n *Network) PEAt(x, y, z int) int {
 	return x + n.dims[0]*(y+n.dims[1]*z)
 }
 
-// Hops returns the dimension-order route length between two PEs: the
-// Manhattan distance on the torus, taking the wraparound direction in each
-// dimension when it is shorter.
-func (n *Network) Hops(src, dst int) int {
-	sc := [numDims]int{}
-	dc := [numDims]int{}
-	sc[0], sc[1], sc[2] = n.Coord(src)
-	dc[0], dc[1], dc[2] = n.Coord(dst)
-	h := 0
-	for d := 0; d < numDims; d++ {
-		fwd := mod(dc[d]-sc[d], n.dims[d])
-		if bwd := n.dims[d] - fwd; fwd > 0 && bwd < fwd {
-			h += bwd
-		} else {
-			h += fwd
-		}
-	}
-	return h
-}
-
 // linkID identifies the unidirectional link leaving node in dimension d,
 // direction dir (0 = +, 1 = −).
 func (n *Network) linkID(node, d, dir int) int32 {
@@ -349,21 +321,6 @@ func (n *Network) LinkName(id int32) string {
 		}
 	}
 	return n.names[id]
-}
-
-// Dist returns the dimension-order route length between two PEs from a
-// lazily built table (the adaptive PDES commit rule queries it per hop per
-// commit, too hot for the coordinate arithmetic of Hops).
-func (n *Network) Dist(src, dst int) int {
-	if n.dist == nil {
-		n.dist = make([]int32, n.numPE*n.numPE)
-		for s := 0; s < n.numPE; s++ {
-			for d := 0; d < n.numPE; d++ {
-				n.dist[s*n.numPE+d] = int32(n.Hops(s, d))
-			}
-		}
-	}
-	return int(n.dist[src*n.numPE+dst])
 }
 
 // Route appends the dimension-order route from src to dst (as link ids) to
@@ -394,21 +351,6 @@ func (n *Network) Route(src, dst int) []int32 {
 	}
 	n.scratch = route
 	return route
-}
-
-// Transport is the engine-facing interface of the interconnect: the calls
-// a PE needs to charge its remote traffic. Implemented by *Network (the
-// canonical single-goroutine booking order) and by *Session (the windowed
-// conservative-PDES front end, callable from concurrent PE goroutines) —
-// both produce identical results by construction (pdes.go).
-type Transport interface {
-	// Send transmits one fire-and-forget message (see Network.Send).
-	Send(src, dst int, payload, depart, hotExtra int64) (arrive, wait int64)
-	// RoundTrip models a blocking remote-read transfer (see
-	// Network.RoundTrip).
-	RoundTrip(src, dst int, replyWords, depart, hot int64) (arrive, wait int64)
-	// DropWaitCycles is the congestion-timeout bound for prefetch messages.
-	DropWaitCycles() int64
 }
 
 // Send transmits one message of payload words from src to dst, departing
@@ -464,72 +406,6 @@ func (n *Network) Send(src, dst int, payload, depart, hotExtra int64) (arrive, w
 	return arrive, wait
 }
 
-// planSend computes the result Send would return right now — the arrival
-// cycle and total queueing wait — against the current link schedules,
-// without reserving anything. A dimension-order route never crosses the
-// same link twice, so the hop-by-hop plan is exactly the placement Send
-// would commit: planSend followed by an un-interleaved Send returns
-// identical values. Because first-fit placements never start before their
-// requested time and the head moves one HopCost per hop, every interval
-// the message would occupy ends at or before the returned arrival — the
-// bound the PDES commit rule (pdes.go) is built on.
-func (n *Network) planSend(src, dst int, payload, depart, hotExtra int64) (arrive, wait int64) {
-	if src == dst {
-		return depart, 0
-	}
-	route := n.Route(src, dst)
-	occBase := n.cfg.HopCost + payload*n.cfg.WordCost
-	t := depart
-	for k, id := range route {
-		occ := occBase
-		if k == 0 {
-			occ += hotExtra
-		}
-		start, _ := n.links[id].probe(t, occ)
-		wait += start - t
-		t = start + n.cfg.HopCost
-		if k == 0 {
-			t += hotExtra
-		}
-	}
-	return t + payload*n.cfg.WordCost, wait
-}
-
-// linkEnd is one hop of a planned placement: the node whose outgoing link
-// carries the message, and the cycle the message's occupancy of that link
-// ends. The adaptive PDES commit rule (pdes.go) is phrased in these.
-type linkEnd struct {
-	node int32
-	end  int64
-}
-
-// planSendEnds computes, without reserving anything, the per-hop
-// (node, occupancy-end) pairs of the placement Send would commit right now,
-// appending them to out. Like planSend it is exact as long as no other
-// booking interleaves, which the Session's lock guarantees.
-func (n *Network) planSendEnds(src, dst int, payload, depart, hotExtra int64, out []linkEnd) (ends []linkEnd, arrive int64) {
-	out = out[:0]
-	if src == dst {
-		return out, depart
-	}
-	route := n.Route(src, dst)
-	occBase := n.cfg.HopCost + payload*n.cfg.WordCost
-	t := depart
-	for k, id := range route {
-		occ := occBase
-		if k == 0 {
-			occ += hotExtra
-		}
-		start, _ := n.links[id].probe(t, occ)
-		out = append(out, linkEnd{node: id / (numDims * 2), end: start + occ})
-		t = start + n.cfg.HopCost
-		if k == 0 {
-			t += hotExtra
-		}
-	}
-	return out, t + payload*n.cfg.WordCost
-}
-
 // RoundTrip models a remote read-style transfer: a one-word request from
 // src to dst, the home node's fixed RemoteBaseCost, and a replyWords reply
 // back. hot injects a hotspot at the home node's reply link (see Send).
@@ -567,32 +443,20 @@ func (n *Network) EndEpoch() {
 	}
 }
 
-// probe computes the first-fit placement of occ cycles at or after cycle
-// at without reserving it: the start time and the index at which the
-// interval would be inserted. The placement depends only on the UNION of
-// the booked busy intervals in the scanned range (the list keeps intervals
-// disjoint, merging only touching neighbors), which is what makes
-// placements independent of the order equivalent schedules were built in.
-func (l *linkState) probe(at, occ int64) (s int64, i int) {
+// book reserves occ cycles on the link, first-fit into the schedule's idle
+// gaps at or after cycle at, and returns the reserved start time.
+func (l *linkState) book(at, occ int64) int64 {
 	ivs := l.ivals
 	// Skip intervals that end at or before the requested time, then slide
 	// the start past every overlapping busy interval.
-	i = sort.Search(len(ivs), func(i int) bool { return ivs[i].hi > at })
-	s = at
+	i := sort.Search(len(ivs), func(i int) bool { return ivs[i].hi > at })
+	s := at
 	for i < len(ivs) && ivs[i].lo < s+occ {
 		if ivs[i].hi > s {
 			s = ivs[i].hi
 		}
 		i++
 	}
-	return s, i
-}
-
-// book reserves occ cycles on the link, first-fit into the schedule's idle
-// gaps at or after cycle at, and returns the reserved start time.
-func (l *linkState) book(at, occ int64) int64 {
-	s, i := l.probe(at, occ)
-	ivs := l.ivals
 	lo, hi := s, s+occ
 	// Merge with touching neighbors to keep the schedule compact.
 	mergeL := i > 0 && ivs[i-1].hi == lo

@@ -62,9 +62,6 @@ func TestRoutePropertyRandomPairs(t *testing.T) {
 		for trial := 0; trial < 200; trial++ {
 			src, dst := rng.Intn(numPE), rng.Intn(numPE)
 			want := torusManhattan(n, src, dst)
-			if got := n.Hops(src, dst); got != want {
-				t.Fatalf("%v: Hops(%d,%d) = %d, torus Manhattan distance %d", d, src, dst, got, want)
-			}
 			route := append([]int32(nil), n.Route(src, dst)...)
 			if len(route) != want {
 				t.Fatalf("%v: route %d->%d has %d links, distance is %d", d, src, dst, len(route), want)
@@ -107,9 +104,6 @@ func TestRoutePropertyRandomPairs(t *testing.T) {
 func TestRouteUsesWraparound(t *testing.T) {
 	n := mustNew(t, Config{Kind: KindTorus, X: 8, Y: 1, Z: 1}, 8)
 	// 0 -> 6 is 2 hops backwards over the seam, 6 hops forward.
-	if got := n.Hops(0, 6); got != 2 {
-		t.Fatalf("Hops(0,6) on a ring of 8 = %d, want 2 via wraparound", got)
-	}
 	route := n.Route(0, 6)
 	if len(route) != 2 {
 		t.Fatalf("route 0->6 = %v, want 2 links", route)
@@ -256,5 +250,32 @@ func TestRoundTripDistance(t *testing.T) {
 	}
 	if want := cfg.RemoteBaseCost + 2*(6*cfg.HopCost+cfg.WordCost); far != want {
 		t.Fatalf("far round trip = %d, want %d", far, want)
+	}
+}
+
+// Reset must return the network to its just-built state: replaying the
+// same traffic must reproduce identical results and summary.
+func TestNetworkReset(t *testing.T) {
+	run := func(n *Network) ([][2]int64, *Summary) {
+		rng := rand.New(rand.NewSource(3))
+		var out [][2]int64
+		now := int64(0)
+		for i := 0; i < 300; i++ {
+			src, dst := rng.Intn(8), rng.Intn(8)
+			now += int64(rng.Intn(10))
+			a, w := n.RoundTrip(src, dst, int64(1+rng.Intn(16)), now, 0)
+			out = append(out, [2]int64{a, w})
+		}
+		return out, n.Summary(100000)
+	}
+	n := mustNew(t, Config{Kind: KindTorus}, 8)
+	r1, s1 := run(n)
+	n.Reset()
+	r2, s2 := run(n)
+	if !reflect.DeepEqual(r1, r2) {
+		t.Fatal("per-transaction results differ after Reset")
+	}
+	if !reflect.DeepEqual(s1, s2) {
+		t.Fatalf("summary differs after Reset:\n%+v\n%+v", s1, s2)
 	}
 }

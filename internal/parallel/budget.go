@@ -6,23 +6,20 @@ import (
 )
 
 // The process-wide worker budget. Every component that fans work out over
-// goroutines — the sweep drivers' ForEach, the engine's flat parallel
-// epochs, and the sweep service's job workers — draws extra-worker tokens
-// from one shared pool sized by GOMAXPROCS, so nested parallelism (an
-// engine's per-PE fan-out inside a `-jobs N` sweep worker, or a sweep
-// worker inside a service job) degrades to fewer workers instead of
-// oversubscribing the machine. The caller's own goroutine is never
-// counted: a grant of zero extra workers means "run inline", which is
-// always correct because every budgeted fan-out is output-equivalent at
-// any worker count.
+// goroutines — the sweep drivers' ForEach and the sweep service's job
+// workers — draws extra-worker tokens from one shared pool sized by
+// GOMAXPROCS, so nested parallelism (a sweep worker's own ForEach inside a
+// `-jobs N` sweep, or a sweep inside a service job) degrades to fewer
+// workers instead of oversubscribing the machine. The caller's own
+// goroutine is never counted: a grant of zero extra workers means "run
+// inline", which is always correct because every budgeted fan-out is
+// output-equivalent at any worker count. The simulation engine itself
+// draws nothing: it runs on the goroutine that calls it.
 //
 // Tokens are returned incrementally: a ForEach worker gives its token back
 // the moment it runs out of items, not when the whole ForEach finishes, so
 // a nested or concurrent fan-out can pick the token up while the slowest
-// items of the outer call are still running. The torus PDES path does not
-// draw tokens — its per-PE goroutines spend most of their time blocked on
-// commit ordering and the Go scheduler multiplexes them onto whatever
-// threads are free.
+// items of the outer call are still running.
 var (
 	budgetMu   sync.Mutex
 	budgetCond = sync.NewCond(&budgetMu)

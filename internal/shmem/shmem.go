@@ -132,11 +132,8 @@ func GetWithFaults(m *mem.Memory, c *cache.Cache, mp machine.Params, addrs []int
 	return GetOverNet(m, c, mp, nil, 0, addrs, now, f, nil)
 }
 
-// GetOverNet is GetWithFaults routed over an interconnect model: tr is
-// either a *noc.Network (single-goroutine canonical booking) or a
-// *noc.Session (the engine's windowed-PDES front end for concurrent PE
-// goroutines) — the two produce identical arrival times. With a nil
-// transport it reproduces the flat model bit-identically: the blocking
+// GetOverNet is GetWithFaults routed over the torus network net. With a
+// nil network it reproduces the flat model bit-identically: the blocking
 // cost is ShmemStartupCost + len(addrs)·ShmemPerWordCost regardless of
 // where the data lives. Over a torus, the surviving lines are grouped by
 // their home PE and each home sends one pipelined reply message to src;
@@ -147,7 +144,7 @@ func GetWithFaults(m *mem.Memory, c *cache.Cache, mp machine.Params, addrs []int
 //
 // sc may be nil (a private Scratch is allocated); the returned DropSet is
 // valid until the next Get on the same Scratch.
-func GetOverNet(m *mem.Memory, c *cache.Cache, mp machine.Params, tr noc.Transport, src int, addrs []int64, now int64, f *Faults, sc *Scratch) (int64, *DropSet) {
+func GetOverNet(m *mem.Memory, c *cache.Cache, mp machine.Params, net *noc.Network, src int, addrs []int64, now int64, f *Faults, sc *Scratch) (int64, *DropSet) {
 	if len(addrs) == 0 {
 		return 0, NoDrops
 	}
@@ -178,7 +175,7 @@ func GetOverNet(m *mem.Memory, c *cache.Cache, mp machine.Params, tr noc.Transpo
 			late = f.LateDelay()
 		}
 		home := 0
-		if tr != nil {
+		if net != nil {
 			home = m.OwnerOf(la)
 		}
 		sc.perHome[home] = append(sc.perHome[home], pending{la, late})
@@ -196,7 +193,7 @@ func GetOverNet(m *mem.Memory, c *cache.Cache, mp machine.Params, tr noc.Transpo
 		c.Install(la, sc.vals, sc.gens, readyAt)
 	}
 
-	if tr == nil {
+	if net == nil {
 		// Flat model: constant per-word pipelined cost, location-blind.
 		for _, p := range sc.perHome[0] {
 			install(p.la, now+p.late)
@@ -222,7 +219,7 @@ func GetOverNet(m *mem.Memory, c *cache.Cache, mp machine.Params, tr noc.Transpo
 			}
 			continue
 		}
-		arrive, _ := tr.RoundTrip(src, home, int64(len(lines))*lw, now, 0)
+		arrive, _ := net.RoundTrip(src, home, int64(len(lines))*lw, now, 0)
 		for _, p := range lines {
 			install(p.la, arrive+p.late)
 		}

@@ -55,11 +55,6 @@ type JobSpec struct {
 	DomainSize int `json:"domain_size,omitempty"`
 	// Topology is the interconnect: "flat", "torus", or "XxYxZ" ("" = flat).
 	Topology string `json:"topology,omitempty"`
-	// PDES is the torus commit scheme: optimistic, conservative or adaptive
-	// ("" = optimistic). Never changes results, only server wall-clock; it
-	// still participates in the memo key so a job's spec is honored
-	// literally.
-	PDES string `json:"pdes,omitempty"`
 	// FaultRate / FaultKinds / FaultSeed configure seeded fault injection
 	// (rate 0 = fault-free; kinds "" = all).
 	FaultRate  float64 `json:"fault_rate,omitempty"`
@@ -107,7 +102,7 @@ func (js *JobSpec) Resolve() (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := driver.SweepConfig(js.Profile, js.DomainSize, js.Topology, js.PDES,
+	cfg, err := driver.SweepConfig(js.Profile, js.DomainSize, js.Topology, "",
 		js.FaultRate, js.FaultKinds, js.FaultSeed)
 	if err != nil {
 		return nil, err
@@ -141,7 +136,6 @@ func (js *JobSpec) Resolve() (*Job, error) {
 //   - the app name is the registry's canonical spelling ("mxm" → "MXM");
 //   - the profile is the registry name with the "" = t3d alias collapsed;
 //   - the topology is the parsed noc.Config, not the flag spelling;
-//   - the pdes scheme is the parsed mode's name ("" = optimistic);
 //   - fault kinds come sorted and deduplicated from fault.ParseKinds, and
 //     the whole fault block collapses to "off" at rate 0 — a disabled
 //     plan's seed and kinds cannot fragment the memo.
@@ -175,8 +169,6 @@ func appendCanonical(dst []byte, app, scale string, cfg *harness.Config) []byte 
 	dst = strconv.AppendInt(dst, int64(cfg.Topology.Y), 10)
 	dst = append(dst, 'x')
 	dst = strconv.AppendInt(dst, int64(cfg.Topology.Z), 10)
-	dst = append(dst, "|pdes="...)
-	dst = append(dst, cfg.PDES.String()...)
 	dst = append(dst, "|fault="...)
 	if !cfg.Fault.Enabled() {
 		dst = append(dst, "off"...)

@@ -48,7 +48,6 @@ func TestKeyAliasInvariance(t *testing.T) {
 		{"explicit t3d profile", JobSpec{App: "MXM", Profile: "t3d"}},
 		{"upper-case profile", JobSpec{App: "MXM", Profile: "T3D"}},
 		{"explicit flat topology", JobSpec{App: "MXM", Topology: "flat"}},
-		{"explicit optimistic pdes", JobSpec{App: "MXM", PDES: "optimistic"}},
 		{"explicit paper PE ladder", JobSpec{App: "MXM", PEs: []int{1, 2, 4, 8, 16, 32, 64}}},
 		{"disabled fault ignores seed", JobSpec{App: "MXM", FaultSeed: 99}},
 		{"disabled fault ignores kinds", JobSpec{App: "MXM", FaultKinds: "drop"}},
@@ -88,7 +87,6 @@ func TestKeyDistinctAcrossEveryAxis(t *testing.T) {
 		"Profile":      {App: "MXM", Profile: "cxl-pcc", FaultRate: 0.01},
 		"DomainSize":   {App: "MXM", DomainSize: 4, FaultRate: 0.01},
 		"Topology":     {App: "MXM", Topology: "torus", FaultRate: 0.01},
-		"PDES":         {App: "MXM", PDES: "conservative", FaultRate: 0.01},
 		"FaultRate":    {App: "MXM", FaultRate: 0.05},
 		"FaultKinds":   {App: "MXM", FaultRate: 0.01, FaultKinds: "drop"},
 		"FaultSeed":    {App: "MXM", FaultRate: 0.01, FaultSeed: 2},
@@ -121,7 +119,6 @@ func TestResolveErrors(t *testing.T) {
 		{"unknown scale", JobSpec{App: "MXM", Scale: "huge"}, "valid scales"},
 		{"unknown profile", JobSpec{App: "MXM", Profile: "cray-2"}, "valid profiles"},
 		{"bad topology", JobSpec{App: "MXM", Topology: "ring"}, "topology"},
-		{"bad pdes", JobSpec{App: "MXM", PDES: "psychic"}, "pdes"},
 		{"bad fault kind", JobSpec{App: "MXM", FaultRate: 0.1, FaultKinds: "gremlin"}, "unknown kind"},
 		{"bad PE count", JobSpec{App: "MXM", PEs: []int{4, 0}}, "PE count"},
 		{"negative domain", JobSpec{App: "MXM", DomainSize: -1}, "domain"},
@@ -145,7 +142,7 @@ func TestCanonicalEncodingShape(t *testing.T) {
 	j := mustResolve(t, JobSpec{App: "mxm", Scale: "small", PEs: []int{1, 2},
 		Profile: "T3D", Topology: "2x2x1", FaultRate: 0.01, FaultKinds: "drop,late", FaultSeed: 3})
 	want := "sweepd/v1|app=MXM|scale=small|pes=1,2|base=1|profile=t3d|domain=0|" +
-		"topo=torus:2x2x1|pdes=optimistic|fault=rate=0.01;kinds=drop,late;seed=3;retries=2"
+		"topo=torus:2x2x1|fault=rate=0.01;kinds=drop,late;seed=3;retries=2"
 	if j.canonical != want {
 		t.Errorf("canonical encoding drifted:\n got %s\nwant %s", j.canonical, want)
 	}
