@@ -17,6 +17,10 @@
 // order (forwarded shards are marked no_forward, so workers never
 // re-shard).
 //
+// SIGINT or SIGTERM shuts the server down gracefully: it stops accepting
+// connections, lets every in-flight sweep finish streaming its rows, then
+// drains the job queue and exits. A second signal kills it at once.
+//
 // Usage:
 //
 //	sweepd [-addr 127.0.0.1:8077] [-memo-entries N] [-compile-entries N]
@@ -25,11 +29,17 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
+	"time"
 
 	"repro/internal/driver"
 	"repro/internal/sweepd"
@@ -71,8 +81,48 @@ func main() {
 	})
 	defer srv.Close()
 
-	fmt.Fprintf(os.Stderr, "%s: listening on %s\n", tool, *addr)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		driver.Fatal(tool, err)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	// After the first signal, restore the default handling so a second one
+	// terminates a shutdown that is waiting on a long sweep.
+	context.AfterFunc(ctx, stop)
+	fmt.Fprintf(os.Stderr, "%s: listening on %s\n", tool, ln.Addr())
+	if err := serve(ctx, ln, srv.Handler()); err != nil {
+		driver.Fatal(tool, err)
+	}
+	fmt.Fprintf(os.Stderr, "%s: shut down\n", tool)
+}
+
+// serve runs the HTTP surface on ln until ctx is done, then shuts down
+// gracefully: the listener closes at once and serve returns only after
+// every in-flight request has completed.
+func serve(ctx context.Context, ln net.Listener, h http.Handler) error {
+	hs := &http.Server{
+		Handler: h,
+		// A client must send its request headers promptly and may not
+		// hold an idle keep-alive connection open indefinitely.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+		// No WriteTimeout: /v1/sweep streams its rows for as long as the
+		// sweep runs (minutes for a cold paper-scale sweep), and a write
+		// deadline would cut such a response off mid-stream.
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	if err := hs.Shutdown(context.Background()); err != nil {
+		return err
+	}
+	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }

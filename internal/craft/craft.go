@@ -34,7 +34,7 @@ func BlockChunk(lo, hi int64, numPE, pe int) Chunk {
 	if n <= 0 {
 		return Chunk{Lo: 1, Hi: 0}
 	}
-	size := (n + int64(numPE) - 1) / int64(numPE)
+	size := blockSize(n, numPE)
 	cLo := lo + int64(pe)*size
 	cHi := cLo + size - 1
 	if cHi > hi {
@@ -84,12 +84,21 @@ func OwnerOfIteration(lo, hi int64, numPE int, i int64) int {
 	if n <= 0 {
 		return 0
 	}
-	size := (n + int64(numPE) - 1) / int64(numPE)
-	p := int((i - lo) / size)
-	if p >= numPE {
-		p = numPE - 1
+	return clampPE((i-lo)/blockSize(n, numPE), numPE)
+}
+
+// blockSize is the block distribution's ceil(n/P) elements per PE.
+func blockSize(n int64, numPE int) int64 {
+	return (n + int64(numPE) - 1) / int64(numPE)
+}
+
+// clampPE maps a block index to its PE: the last PE owns any remainder
+// past the final full block.
+func clampPE(block int64, numPE int) int {
+	if block >= int64(numPE) {
+		return numPE - 1
 	}
-	return p
+	return int(block)
 }
 
 // SlabExtent returns the extent of array a's distributed (last) dimension.
@@ -116,6 +125,35 @@ func OwnerOfOffset(a *ir.Array, numPE int, off int64) int {
 	}
 	stride := a.DimStride(a.Rank() - 1)
 	return OwnerOfIndex(a, numPE, off/stride)
+}
+
+// BlockWords returns how many contiguous words of array a each PE owns
+// (the last owning PE may hold fewer): a block of the last dimension times
+// its stride. It is 0 for private, non-block-distributed and empty arrays,
+// which every PE treats as PE 0's. numPE must be at least 1.
+//
+// Because floor(floor(off/stride)/size) = floor(off/(stride·size)),
+// BlockOwner(BlockWords(a, numPE), numPE, off) equals
+// OwnerOfOffset(a, numPE, off) for every offset inside a, with the array
+// geometry folded into one precomputed divisor.
+func BlockWords(a *ir.Array, numPE int) int64 {
+	if a.Dist != ir.DistBlock || !a.Shared {
+		return 0
+	}
+	n := SlabExtent(a)
+	if n <= 0 {
+		return 0
+	}
+	return a.DimStride(a.Rank()-1) * blockSize(n, numPE)
+}
+
+// BlockOwner returns the PE owning the word at offset off of an array
+// whose BlockWords is block: one division on the per-access path.
+func BlockOwner(block int64, numPE int, off int64) int {
+	if block == 0 {
+		return 0
+	}
+	return clampPE(off/block, numPE)
 }
 
 // OwnedWords returns the word range [lo,hi] (offsets from a.Base) stored in

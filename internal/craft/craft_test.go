@@ -106,3 +106,31 @@ func TestUnevenDistributionLastPEGetsRemainder(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockOwnerMatchesOwnerOfOffset checks the one-division owner
+// formula against the reference definition on random shapes, including
+// last extents below and not divisible by the PE count.
+func TestBlockOwnerMatchesOwnerOfOffset(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		dims := make([]int64, 1+r.Intn(3))
+		for d := range dims {
+			dims[d] = 1 + r.Int63n(12)
+		}
+		a := &ir.Array{Name: "A", Dims: dims, Shared: r.Intn(4) > 0}
+		if r.Intn(4) > 0 {
+			a.Dist = ir.DistBlock
+		}
+		p := 1 + r.Intn(70)
+		block := BlockWords(a, p)
+		for off := int64(0); off < a.Size(); off++ {
+			if BlockOwner(block, p, off) != OwnerOfOffset(a, p, off) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/craft"
 	"repro/internal/expr"
 	"repro/internal/ir"
 )
@@ -55,13 +56,16 @@ type cdim struct {
 }
 
 // cRef is a compiled reference site. Array refs carry per-dimension
-// compiled subscripts; scalar refs carry the interned scalar slot.
+// compiled subscripts and the array's words per owning PE
+// (craft.BlockWords), so the home PE of every address the ref produces is
+// one division away; scalar refs carry the interned scalar slot.
 type cRef struct {
 	src    *ir.Ref // original site: oracle attribution, diagnostics
 	arr    *ir.Array
 	scalar int32 // scalar slot; -1 for array refs
 	dims   []cdim
 	base   int64
+	block  int64
 
 	shared     bool
 	nonCached  bool
@@ -168,7 +172,14 @@ type cProgram struct {
 type compiler struct {
 	prog     *ir.Program
 	syms     *ir.SymTable
+	numPE    int
 	routines map[string]*[]cStmt
+}
+
+// newCompiler is the only way to build a compiler, so every one carries
+// the machine's PE count its array refs' blocks are divided by.
+func newCompiler(c *core.Compiled, syms *ir.SymTable) *compiler {
+	return &compiler{prog: c.Prog, syms: syms, numPE: c.Machine.NumPE, routines: map[string]*[]cStmt{}}
 }
 
 // compileProgram lowers every epoch node of the graph.
@@ -179,7 +190,7 @@ func compileProgram(c *core.Compiled, g *ir.EpochGraph) (*cProgram, error) {
 		// table built here; core.Compile pre-resolves it.
 		syms = ir.CollectSyms(c.Prog)
 	}
-	cc := &compiler{prog: c.Prog, syms: syms, routines: map[string]*[]cStmt{}}
+	cc := newCompiler(c, syms)
 	cp := &cProgram{syms: syms, nScalars: syms.NumScalars(), nVars: syms.NumVars()}
 	for _, node := range g.Nodes {
 		var ep cEpoch
@@ -233,6 +244,7 @@ func (cc *compiler) ref(r *ir.Ref) (*cRef, error) {
 	}
 	out.arr = r.Array
 	out.base = r.Array.Base
+	out.block = craft.BlockWords(r.Array, cc.numPE)
 	out.shared = r.Array.Shared
 	stride := int64(1)
 	for d := range r.Index {

@@ -196,7 +196,7 @@ type Engine struct {
 
 // domainTopo is the machine's interconnect config with its coherence-domain
 // fields injected: the noc near tier is profile-derived, never parsed.
-func domainTopo(mp machine.Params) noc.Config {
+func domainTopo(mp *machine.Params) noc.Config {
 	topo := mp.Topology
 	if mp.DomainSize > 1 {
 		topo.DomainPEs = mp.DomainSize
@@ -235,7 +235,7 @@ func buildInvPlans(prog *ir.Program, graph *ir.EpochGraph, numPE int, table [][]
 // New builds a reusable engine for a compiled program.
 func New(c *core.Compiled) (*Engine, error) {
 	prog := c.Prog
-	mp := c.Machine
+	mp := &c.Machine
 	graph, err := ir.BuildEpochGraph(prog)
 	if err != nil {
 		return nil, err
@@ -364,7 +364,7 @@ func (e *Engine) Run(opts Options) (res *Result, err error) {
 		}
 	}()
 
-	mp := e.c.Machine
+	mp := &e.c.Machine
 	if err := opts.Fault.Validate(); err != nil {
 		return nil, err
 	}
@@ -497,7 +497,7 @@ func (e *Engine) runAll() error {
 // epoch executes one dynamic epoch instance, including the boundary
 // actions (invalidation before, barrier and queue flush after).
 func (e *Engine) epoch(inst *epochInst) error {
-	mp := e.c.Machine
+	mp := &e.c.Machine
 	node := inst.node
 	e.stats.Epochs++
 

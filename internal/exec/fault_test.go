@@ -242,7 +242,7 @@ func plantPE(t *testing.T, opts Options) (*Engine, *peState) {
 		bound:         make([]bool, c.Syms.NumVars()),
 		buffered:      bitset.NewSparse(c.TotalWords/c.Machine.LineWords + 1),
 		idxScratch:    make([]int64, 4),
-		shScratch:     shmem.NewScratch(m, c.Machine),
+		shScratch:     shmem.NewScratch(m, &c.Machine),
 	}
 	if eng.inj != nil {
 		pe.fault = eng.inj.PE(0)
@@ -255,8 +255,7 @@ func plantPE(t *testing.T, opts Options) (*Engine, *peState) {
 // would, so tests can drive readMem directly.
 func compileRef(t *testing.T, eng *Engine, r *ir.Ref) *cRef {
 	t.Helper()
-	cc := &compiler{prog: eng.c.Prog, syms: eng.c.Syms, routines: map[string]*[]cStmt{}}
-	cr, err := cc.ref(r)
+	cr, err := newCompiler(eng.c, eng.c.Syms).ref(r)
 	if err != nil {
 		t.Fatal(err)
 	}

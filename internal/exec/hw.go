@@ -88,7 +88,7 @@ func (pe *peState) hwLineWriteback(sp *peState, la int64) int64 {
 func (pe *peState) hwFill(la, at, spike int64) int64 {
 	e := pe.eng
 	hw := e.hw
-	mp := e.c.Machine
+	mp := &e.c.Machine
 	m := e.mem
 	home := m.OwnerOf(la)
 	line := la / mp.LineWords
@@ -162,7 +162,7 @@ func (pe *peState) hwFill(la, at, spike int64) int64 {
 // readMem with the directory behind every miss).
 func (pe *peState) readMemHW(r *cRef, addr int64) float64 {
 	e := pe.eng
-	mp := e.c.Machine
+	mp := &e.c.Machine
 	m := e.mem
 	la := addr - addr%mp.LineWords
 
@@ -216,7 +216,7 @@ func (pe *peState) readMemHW(r *cRef, addr int64) float64 {
 // whether addr's home is this PE.
 func (pe *peState) writeHW(addr int64, v float64, gen uint32, local bool) {
 	e := pe.eng
-	mp := e.c.Machine
+	mp := &e.c.Machine
 	hw := e.hw
 	la := addr - addr%mp.LineWords
 	line := la / mp.LineWords
@@ -286,7 +286,7 @@ func (pe *peState) hwObserve(r *cRef, addr int64, miss bool) {
 	if pe.hwPref == nil {
 		return
 	}
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	pe.prefScratch = pe.hwPref.Observe(int64(r.src.ID), addr, miss, pe.prefScratch[:0])
 	issued := 0
 	for _, la := range pe.prefScratch {

@@ -108,7 +108,7 @@ type peState struct {
 
 // runDoall executes the PE's share of a parallel epoch.
 func (pe *peState) runDoall(l *cLoop) error {
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	lo := pe.evalAffine(&l.lo)
 	hi := pe.evalAffine(&l.hi)
 	step := l.step
@@ -188,7 +188,7 @@ func (pe *peState) runStmts(body []cStmt) error {
 }
 
 func (pe *peState) runStmt(s cStmt) error {
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	switch st := s.(type) {
 	case *cLoop:
 		if st.parallel {
@@ -227,7 +227,7 @@ func (pe *peState) runStmt(s cStmt) error {
 // runSerialLoop interprets a serial loop, driving any software-pipelined
 // prefetch streams attached to it.
 func (pe *peState) runSerialLoop(l *cLoop) error {
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	lo := pe.evalAffine(&l.lo)
 	hi := pe.evalAffine(&l.hi)
 	step := l.step
@@ -271,7 +271,7 @@ func (pe *peState) runSerialLoop(l *cLoop) error {
 // --- Value evaluation -----------------------------------------------------
 
 func (pe *peState) evalExpr(e cExpr) float64 {
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	switch x := e.(type) {
 	case *cNum:
 		return x.v
@@ -360,6 +360,12 @@ func (pe *peState) addrOf(r *cRef) int64 {
 	return addr
 }
 
+// homeOf returns the home PE of addr, an address array ref r produced:
+// mem.OwnerOf without the search, since the ref already knows its array.
+func (pe *peState) homeOf(r *cRef, addr int64) int {
+	return craft.BlockOwner(r.block, pe.eng.c.Machine.NumPE, addr-r.base)
+}
+
 // --- Register window --------------------------------------------------------
 
 func (pe *peState) regLookup(addr int64) (float64, bool) {
@@ -424,9 +430,9 @@ func (pe *peState) readMem(r *cRef, addr int64) float64 {
 	if pe.eng.hw != nil {
 		return pe.readMemHW(r, addr)
 	}
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	m := pe.eng.mem
-	local := m.OwnerOf(addr) == pe.id
+	local := pe.homeOf(r, addr) == pe.id
 
 	// BASE: CRAFT shared data is never cached.
 	if r.nonCached {
@@ -550,7 +556,7 @@ func (pe *peState) readMem(r *cRef, addr int64) float64 {
 // spike becomes a hotspot holding the home's reply link, so it also delays
 // unrelated traffic routed through that link.
 func (pe *peState) chargeRemoteRead(addr, words int64) {
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	home := pe.eng.mem.OwnerOf(addr)
 	if net := pe.eng.net; net != nil {
 		arrive, _ := net.RoundTrip(pe.id, home, words, pe.now, pe.remoteSpike())
@@ -648,13 +654,13 @@ func (pe *peState) writeRef(r *cRef, v float64) {
 		pe.scalarWritten[r.scalar] = true
 		return
 	}
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	m := pe.eng.mem
 	addr := pe.addrOf(r)
 	if pe.writes != nil && r.shared {
 		pe.writes.Add(addr)
 	}
-	local := m.OwnerOf(addr) == pe.id
+	local := pe.homeOf(r, addr) == pe.id
 
 	pe.regUpdate(addr, v)
 	pe.record(addr, trace.KindWrite)
@@ -732,7 +738,7 @@ func (pe *peState) issuePrefetchAt(target *cRef, v int32, it int64) {
 }
 
 func (pe *peState) issueAt(addr int64) {
-	mp := pe.eng.c.Machine
+	mp := &pe.eng.c.Machine
 	m := pe.eng.mem
 	if pe.domainSkip(addr) {
 		// The domain-aware compiler emitted no prefetch for this word at
@@ -805,7 +811,7 @@ func (pe *peState) vectorPrefetch(vp *cVP, lo, hi, step int64) {
 	if len(pe.vpAddrs) == 0 {
 		return
 	}
-	cost, droppedLines := shmem.GetOverNet(pe.eng.mem, pe.cache, pe.eng.c.Machine, pe.eng.net, pe.id, pe.vpAddrs, pe.now, pe.shFaults, pe.shScratch)
+	cost, droppedLines := shmem.GetOverNet(pe.eng.mem, pe.cache, &pe.eng.c.Machine, pe.eng.net, pe.id, pe.vpAddrs, pe.now, pe.shFaults, pe.shScratch)
 	pe.now += cost
 	lw := pe.eng.c.Machine.LineWords
 	for _, a := range pe.vpAddrs {

@@ -48,10 +48,18 @@ type Memory struct {
 	words []uint64 // float64 bits
 	gen   []uint32
 
-	// bases[i] is the base address of arrays[i], sorted ascending, for
-	// address→array lookup.
-	bases  []int64
+	// spans[i] is the address range of arrays[i] and its words per owning
+	// PE (craft.BlockWords), sorted by address: address→array and
+	// address→owner lookups are one binary search, plus one division for
+	// the owner.
+	spans  []span
 	arrays []*ir.Array
+}
+
+// span is one array's word-address range [base, end) and the number of
+// contiguous words each PE owns of it (0: every word is PE 0's).
+type span struct {
+	base, end, block int64
 }
 
 // New builds the memory for a laid-out program. Layout must have been
@@ -66,7 +74,7 @@ func New(p *ir.Program, numPE int, totalWords int64) *Memory {
 	arrays := append([]*ir.Array(nil), p.Arrays...)
 	sort.Slice(arrays, func(i, j int) bool { return arrays[i].Base < arrays[j].Base })
 	for _, a := range arrays {
-		m.bases = append(m.bases, a.Base)
+		m.spans = append(m.spans, span{base: a.Base, end: a.Base + a.Size(), block: craft.BlockWords(a, numPE)})
 		m.arrays = append(m.arrays, a)
 	}
 	return m
@@ -103,27 +111,34 @@ func (m *Memory) ArrayNamed(name string) *ir.Array {
 	return m.prog.ArrayByName(name)
 }
 
+// find returns the index of the span containing addr, or -1 for padding
+// and out-of-range addresses.
+func (m *Memory) find(addr int64) int {
+	i := sort.Search(len(m.spans), func(i int) bool { return m.spans[i].end > addr })
+	if i == len(m.spans) || addr < m.spans[i].base {
+		return -1
+	}
+	return i
+}
+
 // ArrayOf returns the array containing the given word address, or nil.
 func (m *Memory) ArrayOf(addr int64) *ir.Array {
-	i := sort.Search(len(m.bases), func(i int) bool { return m.bases[i] > addr })
-	if i == 0 {
-		return nil
+	if i := m.find(addr); i >= 0 {
+		return m.arrays[i]
 	}
-	a := m.arrays[i-1]
-	if addr >= a.Base+a.Size() {
-		return nil
-	}
-	return a
+	return nil
 }
 
 // OwnerOf returns the PE owning the given word address (0 for private
-// arrays and for the sequential configuration).
+// arrays, padding and the sequential configuration). It agrees with
+// craft.OwnerOfOffset on every word of every array.
 func (m *Memory) OwnerOf(addr int64) int {
-	a := m.ArrayOf(addr)
-	if a == nil {
+	i := m.find(addr)
+	if i < 0 {
 		return 0
 	}
-	return craft.OwnerOfOffset(a, m.numPE, addr-a.Base)
+	s := &m.spans[i]
+	return craft.BlockOwner(s.block, m.numPE, addr-s.base)
 }
 
 // Read returns the value and generation of the word at addr.

@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 
+	"repro/internal/craft"
 	"repro/internal/ir"
 )
 
@@ -100,4 +101,56 @@ func TestAddrOfBoundsPanic(t *testing.T) {
 		}
 	}()
 	AddrOf(a, []int64{4})
+}
+
+// TestOwnerOfMatchesOwnerOfOffset checks the precomputed block division
+// against craft's reference definition on every word address of several
+// layouts (plus padding, negative and past-the-end addresses) at PE counts
+// that divide, fail to divide and exceed the distributed extents.
+func TestOwnerOfMatchesOwnerOfOffset(t *testing.T) {
+	shared := func(name string, dims ...int64) *ir.Array {
+		return &ir.Array{Name: name, Dims: dims, Shared: true, Dist: ir.DistBlock}
+	}
+	layouts := map[string][]*ir.Array{
+		"1-D": {
+			shared("A", 100),
+			shared("Small", 3), // last extent below most PE counts
+			{Name: "Priv", Dims: []int64{7}},
+			shared("B", 64),
+		},
+		"3-D": {
+			shared("A", 4, 3, 10), // last extent divisible by few PE counts
+			{Name: "SharedNone", Dims: []int64{2, 2, 5}, Shared: true},
+			{Name: "BlockPriv", Dims: []int64{5, 9}, Dist: ir.DistBlock},
+			shared("C", 3, 1, 1), // last extent 1
+			shared("D", 2, 3, 65),
+		},
+	}
+	for name, arrays := range layouts {
+		for _, lineWords := range []int64{4, 8} {
+			p := &ir.Program{Arrays: arrays}
+			total := Layout(p, lineWords)
+			for _, n := range []int{1, 2, 3, 5, 7, 8, 16, 64} {
+				m := New(p, n, total)
+				for addr := int64(-2); addr < total+2*lineWords; addr++ {
+					var want *ir.Array
+					for _, a := range arrays {
+						if addr >= a.Base && addr < a.Base+a.Size() {
+							want = a
+						}
+					}
+					if got := m.ArrayOf(addr); got != want {
+						t.Fatalf("%s line %d P=%d: ArrayOf(%d) = %v, want %v", name, lineWords, n, addr, got, want)
+					}
+					owner := 0
+					if want != nil {
+						owner = craft.OwnerOfOffset(want, n, addr-want.Base)
+					}
+					if got := m.OwnerOf(addr); got != owner {
+						t.Fatalf("%s line %d P=%d: OwnerOf(%d) = %d, want %d", name, lineWords, n, addr, got, owner)
+					}
+				}
+			}
+		}
+	}
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/noc"
 )
 
-func setup(t *testing.T) (*mem.Memory, *cache.Cache, machine.Params, *ir.Array) {
+func setup(t *testing.T) (*mem.Memory, *cache.Cache, *machine.Params, *ir.Array) {
 	t.Helper()
 	b := ir.NewBuilder("shmem")
 	a := b.SharedArray("A", 256)
@@ -22,7 +22,7 @@ func setup(t *testing.T) (*mem.Memory, *cache.Cache, machine.Params, *ir.Array) 
 	for i := int64(0); i < 256; i++ {
 		m.Write(a.Base+i, float64(i)*1.5)
 	}
-	return m, cache.New(mp.CacheWords, mp.LineWords), mp, a
+	return m, cache.New(mp.CacheWords, mp.LineWords), &mp, a
 }
 
 func TestGetInstallsFreshLines(t *testing.T) {

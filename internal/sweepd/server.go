@@ -3,6 +3,7 @@ package sweepd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -38,6 +39,12 @@ type SweepRow struct {
 	Result json.RawMessage `json:"result,omitempty"`
 	Error  string          `json:"error,omitempty"`
 }
+
+// MaxRequestBytes bounds a /v1/sweep request body. A spec is a few hundred
+// bytes, so this admits sweeps of tens of thousands of points while a
+// runaway or hostile client cannot make the server buffer without limit;
+// larger bodies are answered 413.
+const MaxRequestBytes = 8 << 20
 
 // Options configures a Server.
 type Options struct {
@@ -185,7 +192,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}

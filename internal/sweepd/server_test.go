@@ -255,6 +255,36 @@ func TestBadSpecIs400(t *testing.T) {
 	}
 }
 
+// A request body over MaxRequestBytes is refused with 413 before any job
+// is resolved or run, even when its prefix is a valid request; a body just
+// under the limit is still served.
+func TestOversizedBodyIs413(t *testing.T) {
+	srv, client := newTestServer(t, Options{})
+	valid := `{"jobs":[{"app":"MXM","scale":"small","pes":[1]}]}`
+	post := func(body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(client.Base+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	// JSON allows any amount of trailing whitespace inside the object.
+	pad := func(n int) string { return valid[:len(valid)-1] + strings.Repeat(" ", n) + "}" }
+
+	resp := post(pad(MaxRequestBytes + 1 - len(valid)))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %s, want 413", resp.Status)
+	}
+	if n := srv.jobsRun.Load(); n != 0 {
+		t.Errorf("oversized request ran %d jobs", n)
+	}
+	if resp := post(pad(MaxRequestBytes - len(valid))); resp.StatusCode != http.StatusOK {
+		t.Fatalf("body at the limit: status %s, want 200", resp.Status)
+	}
+}
+
 // The priority queue serves higher priorities first, FIFO within one.
 func TestQueuePriorityOrder(t *testing.T) {
 	q := NewQueue()
